@@ -32,9 +32,9 @@
 // paper-exact scalar schedule; larger blocks trade a few extra samples for
 // a several-fold throughput gain), -workers the goroutines fanning out
 // each round's per-group draws (0 = all idle engine workers; results are
-// identical for every value), -growth an optional geometric block growth
-// factor, -timeout bounds the run via context cancellation, and -stream
-// prints each group the moment its estimate settles.
+// identical for every value), -timeout bounds the run via context
+// cancellation, and -stream prints each group the moment its estimate
+// settles.
 //
 // -where restricts the query to the rows matching a comma-separated
 // predicate conjunction: typed comparisons "col OP number" (OP one of
@@ -75,7 +75,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed")
 		batch      = flag.Int("batch", 0, "samples per contentious group per round (0/1 = paper-exact scalar rounds)")
 		workers    = flag.Int("workers", 0, "goroutines drawing per-group blocks each round (0 = all idle engine workers; identical results at any value)")
-		growth     = flag.Float64("growth", 0, "geometric per-round block growth factor (0/1 = fixed blocks)")
 		timeout    = flag.Duration("timeout", 0, "abort the query after this long (0 = no limit)")
 		maxDraws   = flag.Int64("maxdraws", 0, "cap total draws for -algo noindex (0 = unlimited; the cap voids the guarantee)")
 		stream     = flag.Bool("stream", false, "print each group the moment its estimate settles")
@@ -137,7 +136,6 @@ func main() {
 		Seed:            *seed,
 		MaxDraws:        *maxDraws,
 		BatchSize:       *batch,
-		RoundGrowth:     *growth,
 		Workers:         *workers,
 		Where:           preds,
 	}

@@ -3,7 +3,6 @@ package rapidviz
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -61,11 +60,20 @@ type EngineConfig struct {
 	// An explicit Query.Workers overrides the sizing entirely. Zero
 	// means runtime.GOMAXPROCS(0).
 	Workers int
-	// ShareSamples turns on the per-table sample broker for every query,
-	// as if each had set Query.ShareSamples. Concurrent queries over the
-	// same table, filter, sampling mode, and resolved seed then share one
-	// physical draw stream — N queries cost ~1× the memory traffic instead
-	// of N× — with bit-for-bit identical results (see Query.ShareSamples).
+	// ShareSamples turns on the per-table sample broker for every query.
+	// Concurrent queries over the same table, Where filter, sampling mode,
+	// and resolved seed then draw from one shared physical stream instead
+	// of each drawing its own — N queries cost ~1× the memory traffic
+	// rather than N×. Results are bit-for-bit identical to running solo
+	// (each group's draws are a pure function of the resolved seed and the
+	// group's cumulative draw count, no matter who triggers them), so
+	// sharing is purely a throughput policy; Result.Shared reports whether
+	// a broker actually served a run. Query shapes with custom draw paths —
+	// AggNormalizedSum, AggNormalizedCount, AggAvgPair, SubGroups, and the
+	// non-round-driver algorithms (AlgoIRefine, AlgoScan, AlgoNoIndex) —
+	// and non-table group sets silently run solo. Queries sharing a broker
+	// never mutate their groups' draw state, so a shared group set
+	// (Table.Groups) is safe under concurrent broker-fed queries.
 	ShareSamples bool
 	// OnAdmission, when non-nil, observes every admitted query: it is
 	// called once per Run/Stream with the time the call spent waiting for
@@ -78,10 +86,9 @@ type EngineConfig struct {
 
 // Engine executes Queries over groups. It is cheap to construct, safe for
 // concurrent use, and reusable across any number of queries: construct one
-// per service (or use the package-level default via the top-level
-// functions) and call Run from as many goroutines as you like — the
-// bounded worker pool keeps heavy concurrent traffic from oversubscribing
-// the host.
+// per service (or share DefaultEngine) and call Run from as many goroutines
+// as you like — the bounded worker pool keeps heavy concurrent traffic from
+// oversubscribing the host.
 type Engine struct {
 	cfg EngineConfig
 	sem chan struct{}
@@ -190,8 +197,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}, nil
 }
 
-// defaultEngine backs the package-level convenience functions and the
-// deprecated wrappers.
+// defaultEngine backs DefaultEngine.
 var defaultEngine = sync.OnceValue(func() *Engine {
 	e, err := NewEngine(EngineConfig{})
 	if err != nil {
@@ -200,8 +206,8 @@ var defaultEngine = sync.OnceValue(func() *Engine {
 	return e
 })
 
-// DefaultEngine returns the shared engine with default configuration that
-// backs the package-level functions.
+// DefaultEngine returns a shared engine with the default configuration,
+// for callers that need no engine of their own.
 func DefaultEngine() *Engine { return defaultEngine() }
 
 // Run executes q over groups and returns the complete result. It blocks
@@ -251,10 +257,10 @@ func (e *Engine) Stream(ctx context.Context, q Query, groups []Group) <-chan Eve
 	return ch
 }
 
-// run is the one execution path behind Run, Stream, and every deprecated
-// wrapper: resolve any Where filter to a (cached) table view, normalize
-// and validate the query, acquire a worker slot, build the universe, and
-// dispatch through core.Run.
+// run is the one execution path behind Run and Stream: resolve any Where
+// filter to a (cached) table view, normalize and validate the query,
+// acquire a worker slot, build the universe, and dispatch through
+// core.Run.
 func (e *Engine) run(ctx context.Context, q Query, groups []Group, onPartial func(name string, i int, est float64, round int, eps float64)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -286,7 +292,7 @@ func (e *Engine) run(ctx context.Context, q Query, groups []Group, onPartial fun
 	// backing table (plus the filter's fingerprint), and only a full
 	// table-backed group set identifies one.
 	var shareTable *dataset.Table
-	if q.ShareSamples || e.cfg.ShareSamples {
+	if e.cfg.ShareSamples {
 		shareTable = shareTableOf(groups)
 	}
 
@@ -330,24 +336,24 @@ func (e *Engine) run(ctx context.Context, q Query, groups []Group, onPartial fun
 	// unaffected either way (worker invariance).
 	switch {
 	case q.Workers > 0:
-		spec.Workers = q.Workers
+		spec.Opts.Workers = q.Workers
 	case q.Algorithm == AlgoScan:
 		workers, release := e.borrowWorkers()
-		spec.Workers = workers
+		spec.Opts.Workers = workers
 		defer release()
-	case q.BatchSize == 0 || q.BatchSize >= autoParallelMinBatch || q.RoundGrowth > 1:
+	case q.BatchSize == 0 || q.BatchSize >= autoParallelMinBatch:
 		// Auto fan-out only pays for dense rounds: at the scalar schedule
 		// the per-round pool dispatch dwarfs the one-sample draws it
 		// would parallelize (measured several-fold slower), so small
 		// explicit BatchSize keeps the inline path unless the query
 		// explicitly asks for workers. BatchSize 0 (the auto-batch
-		// doubling schedule) and RoundGrowth qualify because their blocks
-		// grow dense within a few rounds. The worker count sizes a cap,
+		// doubling schedule) qualifies because its blocks grow dense
+		// within a few rounds. The worker count sizes a cap,
 		// not a commitment: the core driver's per-round volume gate and
 		// timing probe still fall back to the sequential loop whenever
 		// fan-out would not pay, so handing workers to a query that turns
 		// out to run small rounds costs nothing.
-		spec.Workers = e.idleWorkers()
+		spec.Opts.Workers = e.idleWorkers()
 	}
 	// Attach to (or create) the table's shared draw stream when the query
 	// shape allows it. Advisory: an ineligible shape — custom draw paths,
@@ -708,9 +714,6 @@ func (e *Engine) normalize(q Query, groups []Group) (Query, error) {
 	if q.BatchSize < 0 {
 		return q, fmt.Errorf("rapidviz: BatchSize must be non-negative, got %d", q.BatchSize)
 	}
-	if q.RoundGrowth != 0 && !(q.RoundGrowth >= 1 && !math.IsInf(q.RoundGrowth, 1)) {
-		return q, fmt.Errorf("rapidviz: RoundGrowth must be 0 or a finite value >= 1, got %v", q.RoundGrowth)
-	}
 	kind, err := conc.ParseKind(q.ConfidenceBound)
 	if err != nil {
 		return q, fmt.Errorf("rapidviz: ConfidenceBound %q is not one of %q, %q, %q",
@@ -847,15 +850,13 @@ func (e *Engine) spec(q Query, u *dataset.Universe, groups []Group) (core.Spec, 
 		// batch scales the interval-check cadence — a result-changing
 		// knob, so it keeps the scalar default; the exact scan, IREFINE,
 		// and cell runs ignore BatchSize either way. Queries that need
-		// the paper's one-sample rounds ask for BatchSize=1 explicitly
-		// (the deprecated free functions do).
+		// the paper's one-sample rounds ask for BatchSize=1 explicitly.
 		opts.BatchSize = core.BatchAuto
 	}
-	opts.RoundGrowth = q.RoundGrowth
 	opts.Bound = conc.Kind(q.ConfidenceBound)
 	if q.OnRound != nil {
 		hook := q.OnRound
-		opts.Tracer = core.GroupTracerFunc(func(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, total int64) {
+		opts.Tracer = func(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, total int64) {
 			hook(RoundTrace{
 				Round:         m,
 				Epsilon:       eps,
@@ -864,7 +865,7 @@ func (e *Engine) spec(q Query, u *dataset.Universe, groups []Group) (core.Spec, 
 				Estimates:     estimates,
 				TotalSamples:  total,
 			})
-		})
+		}
 	}
 
 	spec := core.Spec{

@@ -14,10 +14,7 @@ import (
 // under -race this also exercises the broker's concurrent fan-out.
 func TestBrokerMatchesSolo(t *testing.T) {
 	tab := whereTestTable(t, 2000)
-	eng, err := NewEngine(EngineConfig{Workers: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo, shared := sharingEngines(t, 16)
 
 	type shape struct {
 		name  string
@@ -50,14 +47,11 @@ func TestBrokerMatchesSolo(t *testing.T) {
 
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			solo, err := eng.Run(context.Background(), sh.query, tab.View())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if solo.Shared {
+			res := mustRun(t, solo, sh.query, tab)
+			if res.Shared {
 				t.Fatal("solo run reported Shared")
 			}
-			want := resultFingerprint(solo)
+			want := resultFingerprint(res)
 
 			const concurrent = 8
 			results := make([]*Result, concurrent)
@@ -67,9 +61,7 @@ func TestBrokerMatchesSolo(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					q := sh.query
-					q.ShareSamples = true
-					results[i], errs[i] = eng.Run(context.Background(), q, tab.View())
+					results[i], errs[i] = shared.Run(context.Background(), sh.query, tab.View())
 				}(i)
 			}
 			wg.Wait()
@@ -87,7 +79,7 @@ func TestBrokerMatchesSolo(t *testing.T) {
 		})
 	}
 
-	stats := eng.BrokerStats()
+	stats := shared.BrokerStats()
 	if stats.Active != 0 {
 		t.Fatalf("brokers leaked: %d still active", stats.Active)
 	}
@@ -101,19 +93,13 @@ func TestBrokerMatchesSolo(t *testing.T) {
 // the retained prefix and still matches its solo result exactly.
 func TestShareSamplesLateSubscriber(t *testing.T) {
 	tab := whereTestTable(t, 2000)
-	eng, err := NewEngine(EngineConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo, shared := sharingEngines(t, 4)
 	// An early long-running query (tight resolution → many rounds) holds
 	// the broker open while a quick late query attaches mid-stream.
-	early := Query{Seed: 9, Bound: 100, Resolution: 0.5, ShareSamples: true, BatchSize: 64}
-	late := Query{Seed: 9, Bound: 100, Resolution: 4, ShareSamples: true, BatchSize: 64}
+	early := Query{Seed: 9, Bound: 100, Resolution: 0.5, BatchSize: 64}
+	late := Query{Seed: 9, Bound: 100, Resolution: 4, BatchSize: 64}
 
-	soloLate, err := eng.Run(context.Background(), late, tab.View())
-	if err != nil {
-		t.Fatal(err)
-	}
+	soloLate := mustRun(t, solo, late, tab)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -122,10 +108,10 @@ func TestShareSamplesLateSubscriber(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		close(started)
-		_, earlyErr = eng.Run(context.Background(), early, tab.View())
+		_, earlyErr = shared.Run(context.Background(), early, tab.View())
 	}()
 	<-started
-	sharedLate, err := eng.Run(context.Background(), late, tab.View())
+	sharedLate, err := shared.Run(context.Background(), late, tab.View())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,25 +130,21 @@ func TestShareSamplesLateSubscriber(t *testing.T) {
 // its own solo run.
 func TestShareSamplesCrossFingerprint(t *testing.T) {
 	tab := whereTestTable(t, 2000)
-	eng, err := NewEngine(EngineConfig{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo, shared := sharingEngines(t, 8)
 	qa := Query{Seed: 5, Bound: 100, Resolution: 2, Delta: 0.05, BatchSize: 64}
 	qb := Query{Seed: 5, Bound: 100, Resolution: 2, Delta: 0.2, BatchSize: 64}
-	if eng.Fingerprint(qa) == eng.Fingerprint(qb) {
+	if shared.Fingerprint(qa) == shared.Fingerprint(qb) {
 		t.Fatal("test needs distinct fingerprints")
 	}
-	wantA := resultFingerprint(mustRun(t, eng, qa, tab))
-	wantB := resultFingerprint(mustRun(t, eng, qb, tab))
+	wantA := resultFingerprint(mustRun(t, solo, qa, tab))
+	wantB := resultFingerprint(mustRun(t, solo, qb, tab))
 
-	qa.ShareSamples, qb.ShareSamples = true, true
 	var wg sync.WaitGroup
 	var gotA, gotB *Result
 	var errA, errB error
 	wg.Add(2)
-	go func() { defer wg.Done(); gotA, errA = eng.Run(context.Background(), qa, tab.View()) }()
-	go func() { defer wg.Done(); gotB, errB = eng.Run(context.Background(), qb, tab.View()) }()
+	go func() { defer wg.Done(); gotA, errA = shared.Run(context.Background(), qa, tab.View()) }()
+	go func() { defer wg.Done(); gotB, errB = shared.Run(context.Background(), qb, tab.View()) }()
 	wg.Wait()
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
@@ -179,18 +161,14 @@ func TestShareSamplesCrossFingerprint(t *testing.T) {
 // shapes run solo — same result, Shared false — rather than erroring.
 func TestShareSamplesFallbackShapes(t *testing.T) {
 	tab := whereTestTable(t, 500)
-	eng, err := NewEngine(EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo, shared := sharingEngines(t, 0)
 	for _, q := range []Query{
 		{Algorithm: AlgoIRefine, Seed: 3, Bound: 100, Resolution: 2},
 		{Algorithm: AlgoNoIndex, Seed: 3, Bound: 100, Resolution: 2},
 		{Aggregate: AggNormalizedSum, Seed: 3, Bound: 100, Resolution: 2},
 	} {
-		want := resultFingerprint(mustRun(t, eng, q, tab))
-		q.ShareSamples = true
-		res, err := eng.Run(context.Background(), q, tab.View())
+		want := resultFingerprint(mustRun(t, solo, q, tab))
+		res, err := shared.Run(context.Background(), q, tab.View())
 		if err != nil {
 			t.Fatalf("fallback shape %v errored: %v", q.Algorithm, err)
 		}
@@ -201,6 +179,21 @@ func TestShareSamplesFallbackShapes(t *testing.T) {
 			t.Fatalf("fallback shape diverged:\n got %s\nwant %s", got, want)
 		}
 	}
+}
+
+// sharingEngines returns two engines with the given worker count, one
+// running every query solo and one with the sample broker on.
+func sharingEngines(t *testing.T, workers int) (solo, shared *Engine) {
+	t.Helper()
+	solo, err := NewEngine(EngineConfig{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err = NewEngine(EngineConfig{Workers: workers, ShareSamples: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return solo, shared
 }
 
 func mustRun(t *testing.T, eng *Engine, q Query, tab *Table) *Result {

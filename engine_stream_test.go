@@ -224,7 +224,6 @@ func TestQueryFingerprint(t *testing.T) {
 		{Seed: 7},
 		{Deterministic: true}, // resolved seed 0, not the default seed
 		{BatchSize: 64},
-		{RoundGrowth: 1.5},
 		{MaxRounds: 10},
 		{MaxDraws: 1000},
 		{Bound: 100},

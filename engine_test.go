@@ -3,7 +3,9 @@ package rapidviz_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,47 +14,39 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestWrapperQueryEquivalence pins the compatibility contract of the API
-// redesign: every deprecated free function must produce seed-for-seed
-// identical Estimates, SampleCounts, and TotalSamples to its Query
-// equivalent run through Engine.Run. Groups are rebuilt identically for
-// each run because materialized groups carry without-replacement sampling
-// state.
+// TestWrapperQueryEquivalence pins, bit for bit, the nine query shapes
+// that the package's retired free functions (Order, RoundRobin, Refine,
+// Exact, Trend, TopT, OrderWithValues, OrderAllowingMistakes, Sum) used to
+// run: the paper's one-sample rounds (BatchSize 1) at a fixed seed. The
+// constants were recorded from those functions, so any change that moves
+// one estimate bit, sample count, or top-t member of these paper-exact
+// runs fails here. Groups are rebuilt for each run because materialized
+// groups carry without-replacement sampling state.
 func TestWrapperQueryEquivalence(t *testing.T) {
 	means := []float64{20, 45, 70, 90}
-	build := func() []rapidviz.Group { return mkGroups(means, 20_000, 31) }
-	opts := rapidviz.Options{Bound: 100, Seed: 32}
-
 	cases := []struct {
-		name    string
-		wrapper func([]rapidviz.Group) (*rapidviz.Result, error)
-		query   rapidviz.Query
+		name  string
+		query rapidviz.Query
+		want  string
 	}{
-		{"Order", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.Order(g, opts) },
-			rapidviz.Query{}},
-		{"RoundRobin", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.RoundRobin(g, opts) },
-			rapidviz.Query{Algorithm: rapidviz.AlgoRoundRobin}},
-		{"Refine", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.Refine(g, opts) },
-			rapidviz.Query{Algorithm: rapidviz.AlgoIRefine}},
-		{"Exact", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.Exact(g, opts) },
-			rapidviz.Query{Algorithm: rapidviz.AlgoScan}},
-		{"Trend", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.Trend(g, opts) },
-			rapidviz.Query{Guarantee: rapidviz.GuaranteeTrend}},
-		{"TopT", func(g []rapidviz.Group) (*rapidviz.Result, error) {
-			r, err := rapidviz.TopT(g, 2, opts)
-			if err != nil {
-				return nil, err
-			}
-			return &r.Result, nil
-		}, rapidviz.Query{Guarantee: rapidviz.GuaranteeTopT, T: 2}},
-		{"OrderWithValues", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.OrderWithValues(g, 3, opts) },
-			rapidviz.Query{Guarantee: rapidviz.GuaranteeValues, MaxError: 3}},
-		{"OrderAllowingMistakes", func(g []rapidviz.Group) (*rapidviz.Result, error) {
-			return rapidviz.OrderAllowingMistakes(g, 0.8, opts)
-		},
-			rapidviz.Query{Guarantee: rapidviz.GuaranteeMistakes, CorrectPairs: 0.8}},
-		{"Sum", func(g []rapidviz.Group) (*rapidviz.Result, error) { return rapidviz.Sum(g, opts) },
-			rapidviz.Query{Aggregate: rapidviz.AggSum}},
+		{"Order", rapidviz.Query{},
+			"total=1629 counts=[272 311 523 523] est=[4033aadb6c3aaaa6 40469dc5a2f1193a 40515f17b3e16487 4056031863253a2e]"},
+		{"RoundRobin", rapidviz.Query{Algorithm: rapidviz.AlgoRoundRobin},
+			"total=2092 counts=[523 523 523 523] est=[4033b3fb06b847ec 4046b35ce7ff89df 40515f17b3e16487 4056031863253a2e]"},
+		{"Refine", rapidviz.Query{Algorithm: rapidviz.AlgoIRefine},
+			"total=4139 counts=[281 1286 1286 1286] est=[4033cc6a50b192c3 40468310953eed65 40519501865dbf39 405625764d4d8ef9]"},
+		{"Exact", rapidviz.Query{Algorithm: rapidviz.AlgoScan},
+			"total=80000 counts=[20000 20000 20000 20000] est=[40341c13376b7709 40467972e60ce920 40517cd2867060f2 4056170043fa0801]"},
+		{"Trend", rapidviz.Query{Guarantee: rapidviz.GuaranteeTrend},
+			"total=1629 counts=[272 311 523 523] est=[4033aadb6c3aaaa6 40469dc5a2f1193a 40515f17b3e16487 4056031863253a2e]"},
+		{"TopT", rapidviz.Query{Guarantee: rapidviz.GuaranteeTopT, T: 2},
+			"total=1421 counts=[64 311 523 523] est=[4032fc51af0fc155 40469dc5a2f1193a 40515f17b3e16487 4056031863253a2e] top=[D C]"},
+		{"OrderWithValues", rapidviz.Query{Guarantee: rapidviz.GuaranteeValues, MaxError: 3},
+			"total=42160 counts=[10540 10540 10540 10540] est=[403417f5d3de08a3 4046856299b272c3 40518220bdc2fc8e 405614effb8ecbed]"},
+		{"OrderAllowingMistakes", rapidviz.Query{Guarantee: rapidviz.GuaranteeMistakes, CorrectPairs: 0.8},
+			"total=1088 counts=[272 272 272 272] est=[4033aadb6c3aaaa6 4046a313ae8422a5 405150ce18eccc6a 4056100054637413]"},
+		{"Sum", rapidviz.Query{Aggregate: rapidviz.AggSum},
+			"total=1629 counts=[272 311 523 523] est=[41180210d99d9d50 412b9b97c1674f4b 413534946f14a337 413adec74506f185]"},
 	}
 
 	eng, err := rapidviz.NewEngine(rapidviz.EngineConfig{})
@@ -61,60 +55,59 @@ func TestWrapperQueryEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := tc.wrapper(build())
-			if err != nil {
-				t.Fatal(err)
-			}
 			q := tc.query
-			q.Bound, q.Seed = opts.Bound, opts.Seed
-			// The deprecated wrappers promise scalar-cadence identity with
-			// the paper-faithful originals, so they pin BatchSize to 1; the
-			// Query side must match rather than pick up the auto default.
-			q.BatchSize = 1
-			modern, err := eng.Run(context.Background(), q, build())
+			q.Bound, q.Seed, q.BatchSize = 100, 32, 1
+			res, err := eng.Run(context.Background(), q, mkGroups(means, 20_000, 31))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(legacy.Estimates) != len(modern.Estimates) {
-				t.Fatalf("estimate lengths differ: %d vs %d", len(legacy.Estimates), len(modern.Estimates))
-			}
-			for i := range legacy.Estimates {
-				if legacy.Estimates[i] != modern.Estimates[i] {
-					t.Fatalf("estimate %d differs: %v vs %v", i, legacy.Estimates[i], modern.Estimates[i])
-				}
-				if legacy.SampleCounts[i] != modern.SampleCounts[i] {
-					t.Fatalf("sample count %d differs: %d vs %d", i, legacy.SampleCounts[i], modern.SampleCounts[i])
-				}
-			}
-			if legacy.TotalSamples != modern.TotalSamples {
-				t.Fatalf("total samples differ: %d vs %d", legacy.TotalSamples, modern.TotalSamples)
+			if got := pinFingerprint(res); got != tc.want {
+				t.Fatalf("result moved:\n got %s\nwant %s", got, tc.want)
 			}
 		})
 	}
 }
 
-// TestTopTWrapperEquivalence checks the top-t selection itself matches.
+// TestTopTWrapperEquivalence pins a larger top-t selection at the paper's
+// one-sample rounds, and checks that the default auto-batch schedule
+// selects the same top groups.
 func TestTopTWrapperEquivalence(t *testing.T) {
 	means := []float64{10, 80, 30, 90, 50}
-	opts := rapidviz.Options{Bound: 100, Seed: 13}
-	legacy, err := rapidviz.TopT(mkGroups(means, 20_000, 12), 2, opts)
+	q := rapidviz.Query{Guarantee: rapidviz.GuaranteeTopT, T: 2, Bound: 100, Seed: 13, BatchSize: 1}
+	scalar, err := rapidviz.DefaultEngine().Run(context.Background(), q, mkGroups(means, 20_000, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	modern, err := rapidviz.DefaultEngine().Run(context.Background(),
-		rapidviz.Query{Guarantee: rapidviz.GuaranteeTopT, T: 2, Bound: 100, Seed: 13},
-		mkGroups(means, 20_000, 12))
+	const want = "total=5284 counts=[38 2479 71 2479 217] est=[4028f2c573404b5b 4053ecc32846c2d5 403d7f445a41d0a2 405604885bebc37e 40493ea3b3ab16b6] top=[D B]"
+	if got := pinFingerprint(scalar); got != want {
+		t.Fatalf("result moved:\n got %s\nwant %s", got, want)
+	}
+	q.BatchSize = 0
+	auto, err := rapidviz.DefaultEngine().Run(context.Background(), q, mkGroups(means, 20_000, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(legacy.Top) != len(modern.Top) {
-		t.Fatalf("top lengths differ: %v vs %v", legacy.Top, modern.Top)
+	if fmt.Sprint(auto.Top) != fmt.Sprint(scalar.Top) {
+		t.Fatalf("auto-batch top %v, scalar top %v", auto.Top, scalar.Top)
 	}
-	for i := range legacy.Top {
-		if legacy.Top[i] != modern.Top[i] {
-			t.Fatalf("top differs: %v vs %v", legacy.Top, modern.Top)
+}
+
+// pinFingerprint renders a result's total, per-group counts, estimate
+// bits, and (for top-t queries) the top members.
+func pinFingerprint(res *rapidviz.Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "total=%d counts=%v est=[", res.TotalSamples, res.SampleCounts)
+	for i, e := range res.Estimates {
+		if i > 0 {
+			b.WriteString(" ")
 		}
+		fmt.Fprintf(&b, "%016x", math.Float64bits(e))
 	}
+	b.WriteString("]")
+	if res.Top != nil {
+		fmt.Fprintf(&b, " top=%v", res.Top)
+	}
+	return b.String()
 }
 
 // TestRunCancellation pins the context contract: a query over groups whose

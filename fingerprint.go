@@ -23,14 +23,12 @@ import (
 // the seed policy (Deterministic / Query.Seed / engine default) is folded
 // into one resolved seed. Fields that provably do not affect results are
 // excluded: Workers (worker invariance is pinned by the test suite) and
-// the OnRound observer. Fields that do — BatchSize, RoundGrowth, MaxRounds,
-// MaxDraws, the confidence bound, and every guarantee parameter — are
-// included. A zero Bound means "infer from the groups", which is a pure
-// function of the group set, so it fingerprints as the inferred marker
-// rather than a value. ShareSamples is excluded like Workers: broker-fed
-// and solo runs are pinned bit-for-bit equal, so a serving layer may
-// collapse a shared and an unshared copy of the same query into one
-// flight.
+// the OnRound observer. Fields that do — BatchSize, MaxRounds, MaxDraws,
+// the confidence bound, and every guarantee parameter — are included. A
+// zero Bound means "infer from the groups", which is a pure function of
+// the group set, so it fingerprints as the inferred marker rather than a
+// value. Sample sharing (EngineConfig.ShareSamples) needs no field:
+// broker-fed and solo runs are pinned bit-for-bit equal.
 //
 // The fingerprint identifies the query only; callers caching results must
 // additionally key by the identity of the groups it ran over.
@@ -94,7 +92,6 @@ func (e *Engine) Fingerprint(q Query) string {
 	wr := q.WithReplacement || e.cfg.WithReplacement
 	fmt.Fprintf(&b, "wr=%t|", wr)
 	fmt.Fprintf(&b, "batch=%d|", q.BatchSize)
-	fpFloat(&b, "growth", q.RoundGrowth)
 	rounds := q.MaxRounds
 	if rounds == 0 {
 		rounds = e.cfg.MaxRounds

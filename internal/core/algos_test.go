@@ -177,12 +177,12 @@ func TestTopTSelectsCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{3, 1, 5} // 90, 80, 70
-	if len(res.Members) != 3 {
-		t.Fatalf("members %v", res.Members)
+	if len(res.TopMembers) != 3 {
+		t.Fatalf("members %v", res.TopMembers)
 	}
 	for i := range want {
-		if res.Members[i] != want[i] {
-			t.Fatalf("top-3 %v, want %v", res.Members, want)
+		if res.TopMembers[i] != want[i] {
+			t.Fatalf("top-3 %v, want %v", res.TopMembers, want)
 		}
 	}
 	for _, i := range want {

@@ -256,14 +256,14 @@ func TestBernsteinPartialWidths(t *testing.T) {
 	}
 }
 
-// TestGroupTracerWidths: a GroupTracer sees per-group widths that are
+// TestGroupTracerWidths: the tracer sees per-group widths that are
 // positive for active groups, frozen for settled ones, and consistent
 // with the scalar eps (the max over live radii).
 func TestGroupTracerWidths(t *testing.T) {
 	u := lowVarUniverse(60_000)
 	rounds := 0
 	opts := bernsteinOpts(conc.KindBernstein, 16, 1)
-	opts.Tracer = GroupTracerFunc(func(m int, eps float64, epsByGroup []float64, active []bool, est []float64, total int64) {
+	opts.Tracer = func(m int, eps float64, epsByGroup []float64, active []bool, est []float64, total int64) {
 		rounds++
 		if len(epsByGroup) != u.K() {
 			t.Fatalf("round %d: %d widths for %d groups", m, len(epsByGroup), u.K())
@@ -283,21 +283,12 @@ func TestGroupTracerWidths(t *testing.T) {
 		if maxLive > eps {
 			t.Fatalf("round %d: live width %v above scalar eps %v", m, maxLive, eps)
 		}
-	})
+	}
 	if _, err := IFocus(u, xrand.New(5), opts); err != nil {
 		t.Fatal(err)
 	}
 	if rounds == 0 {
 		t.Fatal("tracer never fired")
-	}
-	// The scalar TracerFunc adapter keeps working on the same run.
-	fired := false
-	opts.Tracer = TracerFunc(func(m int, eps float64, active []bool, est []float64, total int64) { fired = true })
-	if _, err := IFocus(lowVarUniverse(60_000), xrand.New(5), opts); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("scalar tracer adapter never fired")
 	}
 }
 

@@ -82,13 +82,6 @@ type Options struct {
 	// so batching never weakens the guarantee. Other negative values are
 	// invalid.
 	BatchSize int
-	// RoundGrowth, when above 1, grows the per-round block geometrically:
-	// a group holding c cumulative samples draws
-	// max(BatchSize, ⌈(RoundGrowth−1)·c⌉) fresh samples next round, so the
-	// per-round bookkeeping (ε update, isolation sweep, tracing) runs only
-	// O(log) times in the total sample count. 0 and 1 keep blocks fixed at
-	// BatchSize. Values in (0, 1) are invalid.
-	RoundGrowth float64
 	// Workers fans each round's per-group block draws across a pool of
 	// goroutines. Results are bit-for-bit identical for every value —
 	// each group's randomness is its own seed-derived stream, and all
@@ -101,7 +94,9 @@ type Options struct {
 	// loop whenever parallelism does not pay on the current hardware
 	// (timing only ever picks *how* the same draws execute, never what
 	// they are, so results stay deterministic). 1 always draws inline.
-	// Negative values are invalid.
+	// Run's exact scan (AlgoScan) fans its per-group scans across the same
+	// count, with 0 or 1 scanning inline. IREFINE, NOINDEX, and cell runs
+	// ignore it. Negative values are invalid.
 	Workers int
 	// Draws, when non-nil, feeds the run from a shared offset-addressed
 	// draw source (dataset.Broker) instead of private per-group streams:
@@ -136,8 +131,7 @@ type Options struct {
 // never of measured timings — because the block size changes *which*
 // samples each group holds when settle decisions run, so a timing-driven
 // batch would break run-to-run determinism and the worker/batch golden
-// pins. Exhaustion clamping still applies per group, and RoundGrowth
-// composes as usual (the larger of the two block sizes wins).
+// pins. Exhaustion clamping still applies per group.
 const BatchAuto = -1
 
 // The BatchAuto schedule's endpoints: the starting block (the measured
@@ -217,60 +211,20 @@ func (o *Options) validate(u *dataset.Universe) error {
 	if o.Workers < 0 {
 		return fmt.Errorf("core: workers must be non-negative, got %d", o.Workers)
 	}
-	// !(x >= 1) rather than x < 1 so NaN is rejected too; +Inf would
-	// silently overflow the block computation, so it is equally invalid.
-	if o.RoundGrowth != 0 && !(o.RoundGrowth >= 1 && !math.IsInf(o.RoundGrowth, 1)) {
-		return fmt.Errorf("core: round growth must be 0 or a finite value >= 1, got %v", o.RoundGrowth)
-	}
 	if !o.WithReplacement && u.MaxSize() == 0 {
 		return fmt.Errorf("core: without-replacement sampling requires known group sizes")
 	}
 	return nil
 }
 
-// Tracer observes algorithm execution round by round.
-type Tracer interface {
-	// OnRound is called after each sampling round with the round number m,
-	// the current interval half-width eps (the widest live radius when
-	// per-group widths differ), the active flags, the current estimates,
-	// and the cumulative sample count.
-	OnRound(m int, eps float64, active []bool, estimates []float64, totalSamples int64)
-}
-
-// GroupTracer extends Tracer with the per-group interval half-widths:
-// active groups report their live radius (all equal to eps under the
-// default schedule, per-group under variance-adaptive bounds), settled
-// groups the width their interval was frozen at. Tracers implementing it
-// receive OnRoundGroups instead of OnRound. The epsByGroup slice is reused
-// between rounds; implementations must copy it to retain it.
-type GroupTracer interface {
-	Tracer
-	OnRoundGroups(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, totalSamples int64)
-}
-
-// TracerFunc adapts a function with the original scalar-eps signature to
-// the Tracer interface, keeping every pre-pluggable-bound tracer working
-// unchanged; per-group widths go to GroupTracerFunc instead.
-type TracerFunc func(m int, eps float64, active []bool, estimates []float64, totalSamples int64)
-
-// OnRound implements Tracer.
-func (f TracerFunc) OnRound(m int, eps float64, active []bool, estimates []float64, totalSamples int64) {
-	f(m, eps, active, estimates, totalSamples)
-}
-
-// GroupTracerFunc adapts a function to the GroupTracer interface.
-type GroupTracerFunc func(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, totalSamples int64)
-
-// OnRound implements Tracer: the adapter for algorithms (or rounds) that
-// report only the scalar width — epsByGroup arrives nil.
-func (f GroupTracerFunc) OnRound(m int, eps float64, active []bool, estimates []float64, totalSamples int64) {
-	f(m, eps, nil, active, estimates, totalSamples)
-}
-
-// OnRoundGroups implements GroupTracer.
-func (f GroupTracerFunc) OnRoundGroups(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, totalSamples int64) {
-	f(m, eps, epsByGroup, active, estimates, totalSamples)
-}
+// Tracer observes algorithm execution round by round. It is called after
+// each sampling round with the round number m, the current interval
+// half-width eps (the widest live radius when per-group widths differ),
+// the per-group half-widths — the live radius for active groups (all
+// equal to eps under the default schedule), the frozen width for settled
+// ones — the active flags, the current estimates, and the cumulative
+// sample count. The slices are reused between rounds; copy to retain.
+type Tracer func(m int, eps float64, epsByGroup []float64, active []bool, estimates []float64, totalSamples int64)
 
 // Result reports the outcome of a sampling run.
 type Result struct {

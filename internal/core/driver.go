@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -27,8 +26,7 @@ import (
 // group through the dataset layer's block draw path (one dispatch, one
 // accounting update, and one running-mean division per block). BatchSize
 // ≤ 1 reproduces the paper's one-sample rounds bit for bit, incremental
-// running-mean update included — pinned by TestGoldenPins. Blocks can
-// additionally grow geometrically via Options.RoundGrowth. Because the
+// running-mean update included — pinned by TestGoldenPins. Because the
 // anytime schedule is simultaneously valid at every sample count, indexing
 // ε by the cumulative draw count keeps the union bound intact at any block
 // size; batching only trades bookkeeping frequency for up to one block of
@@ -138,7 +136,7 @@ type roundLoop struct {
 	ivsBuf   []interval // scratch for the unequal-width sweep
 	orderBuf []int      // the isolation sweeps' sort permutation, carried across rounds
 	orderFor int8       // which sweep family orderBuf belongs to
-	traceEps []float64  // scratch per-group widths handed to GroupTracer
+	traceEps []float64  // scratch per-group widths handed to the tracer
 
 	// scratch is the pooled arena behind every per-run buffer above that
 	// does not escape into the Result (estimates and settledR do escape and
@@ -358,23 +356,14 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 }
 
 // blockSize returns how many fresh samples each active group draws this
-// round: the fixed batch (or the BatchAuto schedule's block for this
-// round), grown geometrically from the cumulative count when RoundGrowth
-// asks for it. Always at least 1.
+// round: the fixed batch, or the BatchAuto schedule's block for this
+// round. Always at least 1.
 func (lp *roundLoop) blockSize() int {
 	b := lp.opts.BatchSize
 	if b == BatchAuto {
 		b = autoBatchSize(lp.m)
 	}
-	if b < 1 {
-		b = 1
-	}
-	if g := lp.opts.RoundGrowth; g > 1 {
-		if grown := int(math.Ceil((g - 1) * float64(lp.cum))); grown > b {
-			b = grown
-		}
-	}
-	return b
+	return max(b, 1)
 }
 
 // run executes the whole loop: seed round, then rounds until every group
@@ -754,9 +743,8 @@ func (lp *roundLoop) settleAllRemaining(notify bool) {
 }
 
 // trace emits one tracer event, honoring the algorithm's display and flag
-// overrides. A GroupTracer additionally receives the per-group widths:
-// frozen for settled groups, the live radius (eps under the default
-// schedule) for active ones.
+// overrides. The per-group widths are frozen for settled groups, the live
+// radius (eps under the default schedule) for active ones.
 func (lp *roundLoop) trace(m int, eps float64) {
 	if lp.opts.Tracer == nil {
 		return
@@ -769,24 +757,17 @@ func (lp *roundLoop) trace(m int, eps float64) {
 	if lp.algo.display != nil {
 		est = lp.algo.display
 	}
-	if gt, ok := lp.opts.Tracer.(GroupTracer); ok {
-		if lp.traceEps == nil {
-			lp.traceEps = make([]float64, lp.k)
+	for i := 0; i < lp.k; i++ {
+		switch {
+		case !lp.active[i]:
+			lp.traceEps[i] = lp.frozenEps[i]
+		case lp.bound != nil:
+			lp.traceEps[i] = lp.epsG[i]
+		default:
+			lp.traceEps[i] = eps
 		}
-		for i := 0; i < lp.k; i++ {
-			switch {
-			case !lp.active[i]:
-				lp.traceEps[i] = lp.frozenEps[i]
-			case lp.bound != nil:
-				lp.traceEps[i] = lp.epsG[i]
-			default:
-				lp.traceEps[i] = eps
-			}
-		}
-		gt.OnRoundGroups(m, eps, lp.traceEps, flags, est, lp.sampler.Total())
-		return
 	}
-	lp.opts.Tracer.OnRound(m, eps, flags, est, lp.sampler.Total())
+	lp.opts.Tracer(m, eps, lp.traceEps, flags, est, lp.sampler.Total())
 }
 
 // result assembles the common Result shape and returns the run's scratch

@@ -163,28 +163,3 @@ func BenchmarkIngestCSV(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkIFocusGrowth measures the geometric-block schedule at the same
-// sampling depth.
-func BenchmarkIFocusGrowth(b *testing.B) {
-	u := benchUniverse()
-	opts := DefaultOptions()
-	opts.BatchSize = 64
-	opts.RoundGrowth = 1.1
-	// With growth the cumulative count multiplies by ~1.1 per round, so a
-	// small round cap reaches the same ~20k/group depth.
-	opts.MaxRounds = 62
-	var total int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := IFocus(u, xrand.New(uint64(i)+1), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += res.TotalSamples
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "samples/sec")
-	b.ReportMetric(float64(total)/float64(b.N), "samples/op")
-}

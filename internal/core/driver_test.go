@@ -150,28 +150,6 @@ func TestBatchExhaustsTinyGroups(t *testing.T) {
 	}
 }
 
-// TestRoundGrowthReducesRounds: geometric blocks reach the same sampling
-// depth in logarithmically many rounds.
-func TestRoundGrowthReducesRounds(t *testing.T) {
-	opts := DefaultOptions()
-	scalar, err := IFocus(pinUniverse(), xrand.New(7), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.RoundGrowth = 1.5
-	grown, err := IFocus(pinUniverse(), xrand.New(7), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grown.Rounds >= scalar.Rounds/4 {
-		t.Fatalf("RoundGrowth=1.5 used %d rounds, scalar %d; want a large reduction",
-			grown.Rounds, scalar.Rounds)
-	}
-	if !CorrectOrdering(grown.Estimates, pinUniverse().TrueMeans()) {
-		t.Fatalf("grown run misordered: %v", grown.Estimates)
-	}
-}
-
 // TestBatchOptionValidation rejects nonsense batching parameters at every
 // entry point that validates options.
 func TestBatchOptionValidation(t *testing.T) {
@@ -185,11 +163,6 @@ func TestBatchOptionValidation(t *testing.T) {
 	opts.BatchSize = BatchAuto
 	if _, err := IFocus(u, xrand.New(1), opts); err != nil {
 		t.Fatalf("BatchAuto rejected: %v", err)
-	}
-	opts = DefaultOptions()
-	opts.RoundGrowth = 0.5
-	if _, err := IFocus(u, xrand.New(1), opts); err == nil {
-		t.Fatal("RoundGrowth in (0,1) accepted")
 	}
 	// NoIndex's batch scales its interval-check cadence — it changes
 	// results, so the auto schedule does not apply there and every

@@ -115,7 +115,7 @@ type traceRecorder struct {
 	events []string
 }
 
-func (tr *traceRecorder) OnRound(m int, eps float64, active []bool, estimates []float64, total int64) {
+func (tr *traceRecorder) OnRound(m int, eps float64, _ []float64, active []bool, estimates []float64, total int64) {
 	n := 0
 	for _, a := range active {
 		if a {
@@ -144,7 +144,7 @@ func pinCases() []pinCase {
 				var pr partialRecorder
 				var tr traceRecorder
 				opts.OnPartial = pr.hook()
-				opts.Tracer = &tr
+				opts.Tracer = tr.OnRound
 				res, err := IFocus(pinUniverse(), xrand.New(7), opts)
 				if err != nil {
 					t.Fatal(err)
@@ -205,7 +205,7 @@ func pinCases() []pinCase {
 			run: func(t *testing.T) string {
 				var tr traceRecorder
 				opts := DefaultOptions()
-				opts.Tracer = &tr
+				opts.Tracer = tr.OnRound
 				res, err := RoundRobin(pinUniverse(), xrand.New(7), opts)
 				return fingerprint(res, err) + " traceTail=" + tr.events[len(tr.events)-1]
 			},
@@ -262,7 +262,7 @@ func pinCases() []pinCase {
 				if err != nil {
 					return "err:" + err.Error()
 				}
-				return fingerprint(&res.Result, nil) + fmt.Sprintf(" members=%v membership=%v", res.Members, res.Membership)
+				return fingerprint(&res.Result, nil) + fmt.Sprintf(" members=%v membership=%v", res.TopMembers, res.Membership)
 			},
 			want: "rounds=955 total=3312 capped=false eps=5.9245838577267795 est=[14.642704383266405 27.920132987304026 39.137134493607029 50.955908795951935 62.808589247053384 75.435037961539962] counts=[77 149 309 955 955 867] settled=[77 149 309 955 955 867] members=[5 4] membership=[out out out out in in]",
 		},

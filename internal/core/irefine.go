@@ -111,11 +111,7 @@ func IRefine(u *dataset.Universe, rng *xrand.RNG, opts Options) (*Result, error)
 					maxEps = epsilons[i]
 				}
 			}
-			if gt, ok := opts.Tracer.(GroupTracer); ok {
-				gt.OnRoundGroups(round, maxEps, epsilons, active, estimates, sampler.Total())
-			} else {
-				opts.Tracer.OnRound(round, maxEps, active, estimates, sampler.Total())
-			}
+			opts.Tracer(round, maxEps, epsilons, active, estimates, sampler.Total())
 		}
 		if opts.MaxRounds > 0 && round >= opts.MaxRounds && numActive > 0 {
 			res.Capped = true

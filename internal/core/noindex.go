@@ -129,7 +129,7 @@ func NoIndex(src TupleSource, rng *xrand.RNG, opts Options, maxDraws int64) (*No
 	ivs := make([]interval, k)
 	var orderBuf []int
 	// Tracer support: table-wide draws never deactivate a group, so every
-	// group reports as live; widths go to GroupTracer implementations.
+	// group reports as live.
 	var traceActive []bool
 	var traceEps []float64
 	if opts.Tracer != nil {
@@ -193,11 +193,7 @@ func NoIndex(src TupleSource, rng *xrand.RNG, opts Options, maxDraws int64) (*No
 						traceEps[i] = ivs[i].hi - estimates[i]
 					}
 					round := int(total / checkEvery)
-					if gt, ok := opts.Tracer.(GroupTracer); ok {
-						gt.OnRoundGroups(round, maxEps, traceEps, traceActive, estimates, total)
-					} else {
-						opts.Tracer.OnRound(round, maxEps, traceActive, estimates, total)
-					}
+					opts.Tracer(round, maxEps, traceEps, traceActive, estimates, total)
 				}
 				orderBuf = isolatedGeneral(ivs, isolated, orderBuf, len(orderBuf) == len(ivs))
 				done := true

@@ -98,7 +98,7 @@ func TestWorkerInvarianceTopT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%v|%v|%s", res.Members, res.Membership, fingerprint(&res.Result, nil))
+		return fmt.Sprintf("%v|%v|%s", res.TopMembers, res.Membership, fingerprint(&res.Result, nil))
 	}
 	want := run(1)
 	for _, workers := range []int{4, 16} {
@@ -144,17 +144,22 @@ func TestWorkersValidation(t *testing.T) {
 	}
 }
 
-// TestRunSpecWorkersReachesDriver: Spec.Workers flows into the sampling
-// driver through the one dispatch path and leaves results unchanged.
+// TestRunSpecWorkersReachesDriver: Spec.Opts.Workers flows into the
+// sampling driver and the exact scan through the one dispatch path and
+// leaves results unchanged.
 func TestRunSpecWorkersReachesDriver(t *testing.T) {
-	run := func(workers int) string {
-		res, err := Run(nil, pinUniverse(), xrand.New(4), Spec{Workers: workers, Opts: DefaultOptions()})
+	run := func(algo Algorithm, workers int) string {
+		spec := Spec{Algorithm: algo, Opts: DefaultOptions()}
+		spec.Opts.Workers = workers
+		res, err := Run(nil, pinUniverse(), xrand.New(4), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fingerprint(&res.Result, nil)
 	}
-	if run(1) != run(8) {
-		t.Fatal("Spec.Workers changed sampling results")
+	for _, algo := range []Algorithm{AlgoIFocus, AlgoScan} {
+		if run(algo, 1) != run(algo, 8) {
+			t.Fatalf("%s: Spec.Opts.Workers changed results", algo)
+		}
 	}
 }

@@ -166,15 +166,6 @@ type Spec struct {
 	// MaxDraws caps total draws for AlgoNoIndex and Cells runs
 	// (0 = unlimited).
 	MaxDraws int64
-	// Workers bounds intra-run parallelism: the fan-out of the exact scan
-	// (AlgoScan) and of each sampling round's per-group block draws in the
-	// shared round driver (the IFOCUS family, ROUNDROBIN, the SUM
-	// estimators, MultiAgg phase 1). Results are identical for every
-	// value — parallel rounds only partition independent per-group work.
-	// 0 or 1 runs inline. IREFINE (per-group streams but sequential
-	// batches), NOINDEX, and Cells runs (one shared stream in draw order)
-	// ignore it.
-	Workers int
 
 	Opts Options
 }
@@ -205,9 +196,6 @@ func Run(ctx context.Context, u *dataset.Universe, rng *xrand.RNG, spec Spec) (*
 	if ctx != nil {
 		opts.Ctx = ctx
 	}
-	if spec.Workers != 0 {
-		opts.Workers = spec.Workers
-	}
 
 	if opts.Draws != nil {
 		if err := shareableSpec(spec); err != nil {
@@ -233,7 +221,7 @@ func Run(ctx context.Context, u *dataset.Universe, rng *xrand.RNG, spec Spec) (*
 		if spec.Aggregate != AggAvg || spec.Guarantee != GuarOrder {
 			return nil, fmt.Errorf("core: scan computes exact AVGs only")
 		}
-		res, err := scanParallel(u, spec.Workers)
+		res, err := scanParallel(u, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -374,11 +362,7 @@ func runAvg(u *dataset.Universe, rng *xrand.RNG, spec Spec, opts Options) (*RunR
 		}
 		return &RunResult{Result: *res}, nil
 	case GuarTopT:
-		res, err := TopT(u, rng, spec.T, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Result: res.Result, TopMembers: res.Members, Membership: res.Membership}, nil
+		return TopT(u, rng, spec.T, opts)
 	case GuarValues:
 		res, err := WithValues(u, rng, spec.MaxError, opts)
 		if err != nil {

@@ -32,25 +32,16 @@ func (m Membership) String() string {
 	}
 }
 
-// TopTResult extends Result with the membership classification of
-// the top-t computation.
-type TopTResult struct {
-	Result
-	// Members holds the indices of the top-t groups, ordered from largest
-	// estimate down.
-	Members []int
-	// Membership is the final classification of every group.
-	Membership []Membership
-}
-
 // TopT solves Problem 4 (AVG-ORDER-TOP-t): identify the t groups with the
 // largest true means and order them correctly among themselves, with
 // probability at least 1−δ. Groups stay active only while (a) their top-t
 // membership is uncertain, or (b) they are certain members whose interval
 // still overlaps another potential member's interval (so their relative
 // order within the top-t is unresolved). Certain non-members stop being
-// sampled immediately — the big saving when k is large and t small.
-func TopT(u *dataset.Universe, rng *xrand.RNG, t int, opts Options) (*TopTResult, error) {
+// sampled immediately — the big saving when k is large and t small. The
+// result carries the top-t indices (largest estimate first) in TopMembers
+// and every group's final classification in Membership.
+func TopT(u *dataset.Universe, rng *xrand.RNG, t int, opts Options) (*RunResult, error) {
 	if err := opts.validate(u); err != nil {
 		return nil, err
 	}
@@ -134,7 +125,7 @@ func TopT(u *dataset.Universe, rng *xrand.RNG, t int, opts Options) (*TopTResult
 	if err := lp.run(); err != nil {
 		return nil, err
 	}
-	res := &TopTResult{Result: *lp.result(), Membership: membership}
+	res := &RunResult{Result: *lp.result(), Membership: membership}
 
 	// Any group still unclassified (possible under the resolution or cap
 	// exits) is assigned by final estimate.
@@ -151,8 +142,8 @@ func TopT(u *dataset.Universe, rng *xrand.RNG, t int, opts Options) (*TopTResult
 		}
 	}
 	for _, i := range rank {
-		if membership[i] == MemberIn && len(res.Members) < t {
-			res.Members = append(res.Members, i)
+		if membership[i] == MemberIn && len(res.TopMembers) < t {
+			res.TopMembers = append(res.TopMembers, i)
 		}
 	}
 	return res, nil

@@ -62,7 +62,7 @@ type Config struct {
 	// instead of each sampling the data independently. Sharing never
 	// changes results (broker-fed runs are bit-for-bit equal to solo
 	// runs), so the only reason to disable it is benchmarking the solo
-	// path. When set, per-request share_samples flags are ignored too.
+	// path.
 	DisableSharing bool
 }
 
@@ -163,9 +163,6 @@ func (s *Server) clamp(q rapidviz.Query) rapidviz.Query {
 	}
 	if b := s.cfg.MaxDrawsBudget; b > 0 && (q.MaxDraws == 0 || q.MaxDraws > b) {
 		q.MaxDraws = b
-	}
-	if s.cfg.DisableSharing {
-		q.ShareSamples = false
 	}
 	return q
 }

@@ -37,28 +37,20 @@ type QueryRequest struct {
 	Where []WirePredicate `json:"where,omitempty"`
 
 	// Delta, Bound, ConfidenceBound, Resolution, WithReplacement,
-	// BatchSize, RoundGrowth, Workers, Seed, Deterministic, MaxRounds, and
-	// MaxDraws carry the same semantics as the rapidviz.Query fields of
-	// the same names; zero values defer to the server's defaults.
+	// BatchSize, Workers, Seed, Deterministic, MaxRounds, and MaxDraws
+	// carry the same semantics as the rapidviz.Query fields of the same
+	// names; zero values defer to the server's defaults.
 	Delta           float64 `json:"delta,omitempty"`
 	Bound           float64 `json:"bound,omitempty"`
 	ConfidenceBound string  `json:"confidence_bound,omitempty"`
 	Resolution      float64 `json:"resolution,omitempty"`
 	WithReplacement bool    `json:"with_replacement,omitempty"`
 	BatchSize       int     `json:"batch_size,omitempty"`
-	RoundGrowth     float64 `json:"round_growth,omitempty"`
 	Workers         int     `json:"workers,omitempty"`
 	Seed            uint64  `json:"seed,omitempty"`
 	Deterministic   bool    `json:"deterministic,omitempty"`
 	MaxRounds       int     `json:"max_rounds,omitempty"`
 	MaxDraws        int64   `json:"max_draws,omitempty"`
-
-	// ShareSamples opts this query into the engine's sample broker even
-	// when the server default is off. Redundant on a default server
-	// (sharing is already on) and ignored when the server sets
-	// DisableSharing. Sharing never changes results, so the flag is
-	// excluded from the query fingerprint.
-	ShareSamples bool `json:"share_samples,omitempty"`
 
 	// DeadlineMillis bounds the query's wall-clock time. Zero takes the
 	// server default; the server clamps every request to its maximum.
@@ -170,13 +162,11 @@ func (r *QueryRequest) Query() (rapidviz.Query, error) {
 		Resolution:      r.Resolution,
 		WithReplacement: r.WithReplacement,
 		BatchSize:       r.BatchSize,
-		RoundGrowth:     r.RoundGrowth,
 		Workers:         r.Workers,
 		Seed:            r.Seed,
 		Deterministic:   r.Deterministic,
 		MaxRounds:       r.MaxRounds,
 		MaxDraws:        r.MaxDraws,
-		ShareSamples:    r.ShareSamples,
 	}
 	for i, p := range r.Where {
 		switch {

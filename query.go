@@ -190,17 +190,11 @@ type Query struct {
 	// their batch scales the interval-check cadence, so 0 keeps the scalar
 	// cadence there. Negative values are invalid.
 	BatchSize int
-	// RoundGrowth, when above 1, grows the per-round block geometrically
-	// (a group holding c samples draws about (RoundGrowth−1)·c fresh ones
-	// next round), bounding bookkeeping to O(log) rounds in the total
-	// samples. 0 and 1 keep blocks fixed at BatchSize; values in (0, 1)
-	// are invalid.
-	RoundGrowth float64
 	// Workers caps the parallelism of this query's sampling rounds and
 	// exact scans. Zero (the default) lets the engine decide: dense-block
-	// queries (auto-batch, BatchSize ≥ 64, or geometric RoundGrowth) are
-	// offered however many worker slots are idle when they start — a lone
-	// query uses the whole pool, concurrent traffic shares it. Whatever
+	// queries (auto-batch or BatchSize ≥ 64) are offered however many
+	// worker slots are idle when they start — a lone query uses the whole
+	// pool, concurrent traffic shares it. Whatever
 	// the cap, the core driver's fan-out is adaptive per round: it is
 	// clamped to the machine's schedulable parallelism, rounds too small
 	// to amortize the pool dispatch run inline, and a periodic timing
@@ -212,23 +206,6 @@ type Query struct {
 	// so Workers is purely a throughput knob. 1 pins the query to a
 	// single goroutine. Negative values are invalid.
 	Workers int
-
-	// ShareSamples opts this query into the engine's per-table sample
-	// broker: concurrent queries over the same table, Where filter,
-	// sampling mode, and resolved seed draw from one shared physical
-	// stream instead of each drawing its own — N identical-table queries
-	// cost ~1× the memory traffic rather than N×. Results are bit-for-bit
-	// identical to running solo (each group's draws are a pure function of
-	// the resolved seed and the group's cumulative draw count, no matter
-	// who triggers them), so sharing is purely a throughput knob;
-	// Result.Shared reports whether a broker actually served the run.
-	// Advisory: query shapes with custom draw paths — AggNormalizedSum,
-	// AggNormalizedCount, AggAvgPair, SubGroups, and the non-round-driver
-	// algorithms (AlgoIRefine, AlgoScan, AlgoNoIndex) — and non-table
-	// group sets silently run solo. Queries sharing a broker never mutate
-	// their groups' draw state, so a shared group set (Table.Groups) is
-	// safe under concurrent broker-fed queries.
-	ShareSamples bool
 
 	// Seed seeds the query's random stream. With Deterministic false
 	// (default), zero selects the engine's default seed; any other value
@@ -269,7 +246,7 @@ type RoundTrace struct {
 	Epsilon float64 `json:"epsilon"`
 	// GroupEpsilons holds each group's current half-width: its live
 	// radius while sampling, the width its interval was frozen at after
-	// settling. Nil for algorithms that report only the scalar width.
+	// settling.
 	GroupEpsilons []float64 `json:"group_epsilons,omitempty"`
 	// Active flags the groups still being sampled.
 	Active []bool `json:"active"`
