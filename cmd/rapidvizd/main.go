@@ -47,6 +47,12 @@ import (
 	"repro/internal/workload"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a connection that never finishes them is closed instead of
+// held forever. WebSocket streams are unaffected: the limit ends once the
+// upgrade request's headers are read.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
@@ -103,7 +109,8 @@ func main() {
 	defer srv.Close()
 
 	log.Printf("rapidvizd: serving %d rows in %d groups on %s", table.NumRows(), table.K(), *addr)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	if err := hs.ListenAndServe(); err != nil {
 		log.Fatalf("rapidvizd: %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/conc"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/par"
 	"repro/internal/xrand"
 )
 
@@ -798,7 +799,7 @@ func (e *Engine) inferBound(groups []Group) (float64, error) {
 	defer release()
 	maxes := make([]float64, len(groups))
 	errs := make([]error, len(groups))
-	core.ParallelFor(len(groups), workers, func(i int) {
+	par.For(len(groups), workers, func(i int) {
 		sc, ok := groups[i].(dataset.Scannable)
 		if !ok {
 			errs[i] = fmt.Errorf("rapidviz: cannot infer a value bound for group %q; set Bound", groups[i].Name())

@@ -12,7 +12,9 @@ import (
 // "physical" samples are what actually hit the data. Solo, the two are
 // equal; shared, physical collapses toward one query's worth, and the
 // reduction_x metric (logical/physical) should approach the subscriber
-// count — the acceptance floor is 5x.
+// count — the acceptance floor is 5x. A start barrier releases the eight
+// queries together once all are spawned, so every subscriber attaches to a
+// live broker rather than to one a faster predecessor already retired.
 func BenchmarkSharedSamples(b *testing.B) {
 	tab := whereTestTable(b, 20000)
 	const concurrent = 8
@@ -27,11 +29,13 @@ func BenchmarkSharedSamples(b *testing.B) {
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			results := make([]*Result, concurrent)
+			start := make(chan struct{})
 			var wg sync.WaitGroup
 			for i := 0; i < concurrent; i++ {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
+					<-start
 					res, err := eng.Run(context.Background(), query, tab.View())
 					if err != nil {
 						b.Error(err)
@@ -40,6 +44,7 @@ func BenchmarkSharedSamples(b *testing.B) {
 					results[i] = res
 				}(i)
 			}
+			close(start)
 			wg.Wait()
 			if b.Failed() {
 				return

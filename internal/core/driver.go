@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/conc"
 	"repro/internal/dataset"
+	"repro/internal/par"
 	"repro/internal/xrand"
 )
 
@@ -117,10 +118,9 @@ type roundLoop struct {
 	eps    float64
 	capped bool
 
-	workers int         // resolved draw-phase fan-out cap (≤ 1 draws inline)
-	drawIdx []int       // groups drawing this round, in index order
-	drawN   []int       // matching per-group block sizes
-	bufs    [][]float64 // per-worker block draw buffers
+	workers int   // resolved draw-phase fan-out cap (≤ 1 draws inline)
+	drawIdx []int // groups drawing this round, in index order
+	drawN   []int // matching per-group block sizes
 
 	// Adaptive fan-out state. Rounds dense enough to clear the volume gate
 	// run a two-round timing probe (one sequential, one parallel) and then
@@ -148,9 +148,9 @@ type roundLoop struct {
 
 // loopScratch holds one run's reusable buffers between runs. An engine
 // serving a query stream re-runs the round loop constantly with the same
-// group counts, so recycling the ~10 per-run slices (and the per-worker
-// block buffers, the largest of them) takes the driver's steady-state
-// allocation rate to near zero — the open remainder of ROADMAP item 4.
+// group counts, so recycling the ~10 per-run slices takes the driver's
+// steady-state allocation rate to near zero. Block draw buffers are not
+// here: the sampler pools those itself (Sampler.DrawBlockSum).
 type loopScratch struct {
 	active    []bool
 	isolated  []bool
@@ -163,7 +163,6 @@ type loopScratch struct {
 	drawN     []int
 	orderBuf  []int
 	ivsBuf    []interval
-	bufs      [][]float64
 }
 
 var loopScratchPool = sync.Pool{New: func() any { return new(loopScratch) }}
@@ -225,7 +224,6 @@ func (lp *roundLoop) release() {
 	sc.drawN = lp.drawN
 	sc.orderBuf = lp.orderBuf
 	sc.ivsBuf = lp.ivsBuf
-	sc.bufs = lp.bufs
 	loopScratchPool.Put(sc)
 }
 
@@ -297,12 +295,6 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 	} else {
 		sampler = dataset.NewStreamSampler(u, rng.Uint64(), !opts.WithReplacement)
 	}
-	if algo.drawOne == nil {
-		// Sampler-native block draws can take the devirtualized kernel
-		// path: the concrete group type is resolved once here, not per
-		// draw. Algorithms with a draw hook never block-draw natively.
-		sampler.EnableBlockKernels()
-	}
 	bound := newRunBound(u, opts)
 	// Per-run buffers come from the scratch pool; only estimates and
 	// settledR escape into the Result and are always freshly allocated.
@@ -321,12 +313,6 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 	var traceEps []float64
 	if opts.Tracer != nil {
 		traceEps = f64Scratch(sc.traceEps, k)
-	}
-	nb := max(1, workers)
-	if cap(sc.bufs) < nb {
-		grown := make([][]float64, nb)
-		copy(grown, sc.bufs)
-		sc.bufs = grown
 	}
 	return &roundLoop{
 		u:         u,
@@ -347,7 +333,6 @@ func newRoundLoop(u *dataset.Universe, rng *xrand.RNG, opts *Options, algo round
 		workers:   workers,
 		drawIdx:   intScratch(sc.drawIdx, k),
 		drawN:     intScratch(sc.drawN, k),
-		bufs:      sc.bufs[:nb],
 		ivsBuf:    sc.ivsBuf[:0],
 		orderBuf:  sc.orderBuf[:0],
 		traceEps:  traceEps,
@@ -467,10 +452,9 @@ func (lp *roundLoop) updateRadii() {
 // only part that mutates cross-group state, kept in deterministic group
 // order), then the planned block draws fan across the worker pool. Each
 // draw touches only group-owned state: the group's RNG stream and
-// permutation, its running mean, a per-worker buffer, and the sampler's
-// atomic accounting — so the fan-out needs no locks and the barrier at the
-// end of ParallelForWorkers publishes every estimate before decide reads
-// them.
+// permutation, its running mean, and the sampler's atomic accounting — so
+// the fan-out needs no locks and the barrier at the end of par.For
+// publishes every estimate before decide reads them.
 func (lp *roundLoop) drawRound(fresh int) {
 	lp.drawIdx = lp.drawIdx[:0]
 	lp.drawN = lp.drawN[:0]
@@ -537,14 +521,14 @@ func (lp *roundLoop) drawRound(fresh int) {
 // drawSequential runs the planned draws inline on the calling goroutine.
 func (lp *roundLoop) drawSequential() {
 	for j, i := range lp.drawIdx {
-		lp.drawGroup(0, i, lp.drawN[j])
+		lp.drawGroup(i, lp.drawN[j])
 	}
 }
 
 // drawParallel fans the planned draws across the worker pool.
 func (lp *roundLoop) drawParallel() {
-	ParallelForWorkers(len(lp.drawIdx), lp.workers, func(w, j int) {
-		lp.drawGroup(w, lp.drawIdx[j], lp.drawN[j])
+	par.For(len(lp.drawIdx), lp.workers, func(j int) {
+		lp.drawGroup(lp.drawIdx[j], lp.drawN[j])
 	})
 }
 
@@ -557,11 +541,11 @@ func (lp *roundLoop) bumpReprobe() {
 	}
 }
 
-// drawGroup folds n fresh samples into group i's running mean, using
-// worker w's scratch buffer. The n == 1 path is the paper's incremental
-// update, bit-for-bit what the scalar algorithms computed; blocks
-// accumulate a sum and pay one division.
-func (lp *roundLoop) drawGroup(w, i, n int) {
+// drawGroup folds n fresh samples into group i's running mean. The n == 1
+// path is the paper's incremental update, bit-for-bit what the scalar
+// algorithms computed; blocks accumulate a sum in draw order and pay one
+// division.
+func (lp *roundLoop) drawGroup(i, n int) {
 	prev := lp.cum
 	nc := prev + n
 	if n == 1 {
@@ -575,33 +559,15 @@ func (lp *roundLoop) drawGroup(w, i, n int) {
 		lp.estimates[i] = float64(nc-1)/float64(nc)*lp.estimates[i] + x/float64(nc)
 		return
 	}
-	sum := 0.0
-	switch {
-	case lp.algo.drawOne != nil:
+	var sum float64
+	if lp.algo.drawOne != nil {
 		for j := 0; j < n; j++ {
 			x := lp.algo.drawOne(i)
 			lp.sampler.Observe(i, x)
 			sum += x
 		}
-	default:
-		// Devirtualized fast path: for slice/table/filtered-backed groups
-		// the sampler folds the block's sum (and moments) inside the
-		// group's own draw loop — one bounds-checked slice walk, no buffer
-		// fill, no per-draw interface dispatch. Groups without a kernel
-		// (virtual distributions, source-fed samplers) buffer through the
-		// generic block path; both produce the identical value stream.
-		if s, ok := lp.sampler.DrawBlockSum(i, n); ok {
-			sum = s
-			break
-		}
-		if cap(lp.bufs[w]) < n {
-			lp.bufs[w] = make([]float64, n)
-		}
-		buf := lp.bufs[w][:n]
-		lp.sampler.DrawBatch(i, buf)
-		for _, v := range buf {
-			sum += v
-		}
+	} else {
+		sum, _ = lp.sampler.DrawBlockSum(i, n)
 	}
 	lp.estimates[i] = (float64(prev)*lp.estimates[i] + sum) / float64(nc)
 }

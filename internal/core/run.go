@@ -395,21 +395,6 @@ func cellRunResult(mg *MultiGroupByResult) *RunResult {
 	return rr
 }
 
-// ParallelFor runs fn(0..n-1) across at most workers goroutines (clamped
-// to n; workers <= 1 runs inline). Each fn call must touch only its own
-// index. It is the bounded work-queue primitive (internal/par) shared by
-// the parallel scan below, the round driver's draw fan-out, the public
-// engine's per-group preprocessing, and sharded table ingestion.
-func ParallelFor(n, workers int, fn func(i int)) {
-	par.For(n, workers, fn)
-}
-
-// ParallelForWorkers is ParallelFor with the worker's identity passed to
-// each call, so fn can select per-worker scratch without synchronization.
-func ParallelForWorkers(n, workers int, fn func(w, i int)) {
-	par.ForWorkers(n, workers, fn)
-}
-
 // scanParallel is Scan with the per-group scans fanned out across at most
 // workers goroutines. Group scans are independent and each group's sum is
 // accumulated in visit order, so the result is bit-identical to Scan.
@@ -424,7 +409,7 @@ func scanParallel(u *dataset.Universe, workers int) (*Result, error) {
 	estimates := make([]float64, k)
 	counts := make([]int64, k)
 	errs := make([]error, k)
-	ParallelFor(k, workers, func(i int) {
+	par.For(k, workers, func(i int) {
 		g := u.Groups[i]
 		sc, ok := g.(dataset.Scannable)
 		if !ok {

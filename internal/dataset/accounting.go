@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/conc"
@@ -18,7 +19,8 @@ import (
 // so experiments can report it.
 //
 // Draws come in two granularities: Draw takes one sample, DrawBatch fills
-// a block with one dispatch. Both produce the same stream for the same
+// a block with one dispatch (DrawBlockSum is DrawBatch for callers that
+// need only the block's sum). Both produce the same stream for the same
 // total number of samples, so algorithms can batch freely without changing
 // their statistics.
 //
@@ -29,8 +31,7 @@ import (
 // stream) is still per group and unsynchronized: at most one goroutine may
 // draw from a given group at a time.
 type Sampler struct {
-	u   *Universe
-	rng *xrand.RNG
+	u *Universe
 	// streams holds the per-group generators as one contiguous value slice
 	// (one allocation for k streams, not k); RNGFor hands out &streams[i].
 	streams []xrand.RNG
@@ -54,42 +55,39 @@ type Sampler struct {
 	// values via Observe instead, so the moments describe the variable
 	// actually being estimated.
 	autoObserve bool
-
-	// kernels, when enabled, holds the per-group devirtualized block-draw
-	// kernels: the concrete group type behind each index, resolved once by
-	// EnableBlockKernels so DrawBlockSum can walk the backing slice
-	// directly instead of dispatching through the Group interfaces per
-	// block (see kernel.go).
-	kernels []blockKernel
-}
-
-// NewSampler returns a sampler over u whose draws all consume the one
-// shared generator rng, in draw order. If withoutReplacement is true,
-// groups implementing WithoutReplacementGroup are consumed without
-// replacement — starting from a fresh permutation: any draw state left on
-// the groups by a previous run is reset, so reusing one Universe across
-// consecutive runs cannot silently continue (or exhaust) an earlier run's
-// permutation.
-//
-// Because the shared stream is consumed in draw order, a shared-RNG
-// sampler must be drawn from sequentially. The parallel round driver uses
-// NewStreamSampler instead.
-func NewSampler(u *Universe, rng *xrand.RNG, withoutReplacement bool) *Sampler {
-	return newSampler(u, rng, nil, withoutReplacement)
 }
 
 // NewStreamSampler returns a sampler over u in which every group owns a
 // deterministic RNG stream derived from base and the group's index
-// (xrand.NewStream). Group i's randomness is then a pure function of
+// (xrand.Stream). Group i's randomness is then a pure function of
 // (base, i) and the number of samples it has drawn — never of the order
 // groups were visited — so runs produce identical results whether groups
 // are drawn sequentially or fanned across any number of workers.
+//
+// If withoutReplacement is true, groups implementing
+// WithoutReplacementGroup are consumed without replacement — starting from
+// a fresh permutation: any draw state left on the groups by a previous run
+// is reset, so reusing one Universe across consecutive runs cannot
+// silently continue (or exhaust) an earlier run's permutation.
 func NewStreamSampler(u *Universe, base uint64, withoutReplacement bool) *Sampler {
+	if withoutReplacement {
+		for _, g := range u.Groups {
+			if wg, ok := g.(WithoutReplacementGroup); ok {
+				wg.ResetDraws()
+			}
+		}
+	}
 	streams := make([]xrand.RNG, u.K())
 	for i := range streams {
 		streams[i] = xrand.Stream(base, uint64(i))
 	}
-	return newSampler(u, nil, streams, withoutReplacement)
+	return &Sampler{
+		u:         u,
+		streams:   streams,
+		without:   withoutReplacement,
+		counts:    make([]int64, u.K()),
+		exhausted: make([]atomic.Bool, u.K()),
+	}
 }
 
 // NewSourceSampler returns a sampler over u whose draws are served by an
@@ -105,24 +103,6 @@ func NewSourceSampler(u *Universe, src DrawSource, withoutReplacement bool) *Sam
 	return &Sampler{
 		u:         u,
 		source:    src,
-		without:   withoutReplacement,
-		counts:    make([]int64, u.K()),
-		exhausted: make([]atomic.Bool, u.K()),
-	}
-}
-
-func newSampler(u *Universe, rng *xrand.RNG, streams []xrand.RNG, withoutReplacement bool) *Sampler {
-	if withoutReplacement {
-		for _, g := range u.Groups {
-			if wg, ok := g.(WithoutReplacementGroup); ok {
-				wg.ResetDraws()
-			}
-		}
-	}
-	return &Sampler{
-		u:         u,
-		rng:       rng,
-		streams:   streams,
 		without:   withoutReplacement,
 		counts:    make([]int64, u.K()),
 		exhausted: make([]atomic.Bool, u.K()),
@@ -178,6 +158,51 @@ func (s *Sampler) DrawBatch(i int, dst []float64) {
 		s.moments[i].AddAll(dst)
 	}
 }
+
+// blockBufs recycles the value buffers DrawBlockSum draws into, so a
+// steady stream of block draws allocates nothing. A pool rather than
+// per-sampler or per-worker scratch: any goroutine may block-draw any
+// group, and a buffer is held only for the span of one call.
+var blockBufs = sync.Pool{New: func() any { return new([]float64) }}
+
+// DrawBlockSum draws n samples from group i exactly as DrawBatch would —
+// same values, same accounting, same moments — and returns their sum,
+// accumulated sequentially in draw order. It is the block path of the
+// round driver, which needs only the sum, so the values themselves go to
+// a pooled buffer. ok is false only when n <= 0.
+//
+// Like every draw path, at most one goroutine may call it for a given
+// group at a time; distinct groups may be drawn concurrently.
+func (s *Sampler) DrawBlockSum(i, n int) (sum float64, ok bool) {
+	if n <= 0 {
+		return 0, false
+	}
+	bp := blockBufs.Get().(*[]float64)
+	if cap(*bp) < n {
+		*bp = make([]float64, n)
+	}
+	buf := (*bp)[:n]
+	s.drawBatch(i, buf)
+	if s.moments != nil && s.autoObserve {
+		mom := &s.moments[i]
+		for _, v := range buf {
+			sum += v
+			mom.Add(v)
+		}
+	} else {
+		for _, v := range buf {
+			sum += v
+		}
+	}
+	blockBufs.Put(bp)
+	return sum, true
+}
+
+// EnableBlockKernels is a no-op: DrawBlockSum serves every group and
+// every sampler without setup.
+//
+// Deprecated: call DrawBlockSum directly.
+func (s *Sampler) EnableBlockKernels() {}
 
 // fillFromSource serves one block from the offset-addressed source: the
 // block's offsets are [count_i, count_i+len(dst)), recorded before the
@@ -263,24 +288,19 @@ func (s *Sampler) Total() int64 { return atomic.LoadInt64(&s.total) }
 // Exhausted reports whether group i ran out of without-replacement samples.
 func (s *Sampler) Exhausted(i int) bool { return s.exhausted[i].Load() }
 
-// RNG exposes the sampler's shared generator for algorithms that need
-// auxiliary randomness. It is nil for stream samplers, whose randomness is
-// all per group — use RNGFor there.
-func (s *Sampler) RNG() *xrand.RNG { return s.rng }
-
 // RNGFor returns the generator that feeds group i's draws: the group's own
-// stream on a stream sampler, the shared generator otherwise. Algorithms
-// with custom draw paths (pair draws, membership indicators) must take
-// their auxiliary randomness from here so the per-group stream discipline
-// — and with it worker invariance — extends to every sample they consume.
+// stream. Algorithms with custom draw paths (pair draws, membership
+// indicators) must take their auxiliary randomness from here so the
+// per-group stream discipline — and with it worker invariance — extends to
+// every sample they consume.
 // Source-fed samplers have no generator at all (draws are addressed by
 // offset) and return nil; algorithms with custom draw paths cannot run on
 // them, which core.Run enforces.
 func (s *Sampler) RNGFor(i int) *xrand.RNG {
-	if s.streams != nil {
-		return &s.streams[i]
+	if s.streams == nil {
+		return nil
 	}
-	return s.rng
+	return &s.streams[i]
 }
 
 // EnableMoments switches on per-group moment accounting: one Welford

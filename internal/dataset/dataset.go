@@ -115,7 +115,6 @@ type SliceGroup struct {
 
 	rowBuf []int32  // staged block rows, draw order
 	keyBuf []uint64 // (row<<32 | slot) sort keys for the page-ordered gather
-	valBuf []float64
 }
 
 // sparsePermGate is the row count above which a segment-backed group
@@ -234,15 +233,6 @@ func (g *SliceGroup) stageBatchWR(r *xrand.RNG, count int) {
 		rows[i] = int32(r.Intn(n))
 	}
 	g.rowBuf = rows
-}
-
-// valScratch returns the reusable value-staging buffer sized to n.
-func (g *SliceGroup) valScratch(n int) []float64 {
-	if cap(g.valBuf) < n {
-		g.valBuf = make([]float64, n)
-	}
-	g.valBuf = g.valBuf[:n]
-	return g.valBuf
 }
 
 // gatherRows copies values[rows[i]] into dst[i] for every i, but performs
@@ -402,7 +392,6 @@ func (g *SliceGroup) resetView() {
 	g.next = 0
 	g.rowBuf = nil
 	g.keyBuf = nil
-	g.valBuf = nil
 	if g.win != nil {
 		// The block cursor memoizes draw position; views need their own.
 		g.win = g.win.clone()

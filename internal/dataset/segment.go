@@ -588,7 +588,7 @@ func (t *Table) WriteSegmentsOptions(dir string, opts SegmentOptions) error {
 // its groups are segment-backed SliceGroups whose block draws gather in
 // page order, and its statistics come from the manifest so Open faults in
 // no data pages. It satisfies every Table consumer — views, filters,
-// kernels, the broker, the serving layer — unchanged.
+// block draws, the broker, the serving layer — unchanged.
 //
 // Close invalidates every slice the table handed out; callers must finish
 // all queries first.

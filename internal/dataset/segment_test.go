@@ -262,8 +262,9 @@ func TestSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSegmentKernelMatchesInMemory pins DrawBlockSum equivalence through a
-// Sampler with kernels enabled — the path the round driver actually takes.
+// TestSegmentKernelMatchesInMemory pins DrawBlockSum equivalence between
+// in-memory and mmapped segment groups — the block path the round driver
+// actually takes.
 func TestSegmentKernelMatchesInMemory(t *testing.T) {
 	tab := buildTestTable(t)
 	dir := t.TempDir()
@@ -281,14 +282,12 @@ func TestSegmentKernelMatchesInMemory(t *testing.T) {
 		segU := NewUniverse(101, st.View()...)
 		ms := NewStreamSampler(memU, 99, without)
 		ss := NewStreamSampler(segU, 99, without)
-		ms.EnableBlockKernels()
-		ss.EnableBlockKernels()
 		for round := 0; round < 8; round++ {
 			for gi := 0; gi < memU.K(); gi++ {
 				a, aok := ms.DrawBlockSum(gi, 64)
 				b, bok := ss.DrawBlockSum(gi, 64)
 				if !aok || !bok {
-					t.Fatalf("kernel not engaged (mem %v, seg %v)", aok, bok)
+					t.Fatalf("block draw declined (mem %v, seg %v)", aok, bok)
 				}
 				if math.Float64bits(a) != math.Float64bits(b) {
 					t.Fatalf("without=%v round %d group %d: in-memory sum %v, segment %v", without, round, gi, a, b)

@@ -229,7 +229,7 @@ func TestCompressedCacheEviction(t *testing.T) {
 }
 
 // TestCompressedKernelMatchesInMemory pins DrawBlockSum equivalence over
-// compressed blocks — the round driver's actual hot path.
+// compressed blocks — the round driver's actual block path.
 func TestCompressedKernelMatchesInMemory(t *testing.T) {
 	tab := buildTestTable(t)
 	dir := t.TempDir()
@@ -245,14 +245,12 @@ func TestCompressedKernelMatchesInMemory(t *testing.T) {
 		segU := NewUniverse(101, st.View()...)
 		ms := NewStreamSampler(memU, 99, without)
 		ss := NewStreamSampler(segU, 99, without)
-		ms.EnableBlockKernels()
-		ss.EnableBlockKernels()
 		for round := 0; round < 8; round++ {
 			for gi := 0; gi < memU.K(); gi++ {
 				a, aok := ms.DrawBlockSum(gi, 64)
 				b, bok := ss.DrawBlockSum(gi, 64)
 				if !aok || !bok {
-					t.Fatalf("kernel not engaged (mem %v, seg %v)", aok, bok)
+					t.Fatalf("block draw declined (mem %v, seg %v)", aok, bok)
 				}
 				if math.Float64bits(a) != math.Float64bits(b) {
 					t.Fatalf("without=%v round %d group %d: in-memory sum %v, compressed %v", without, round, gi, a, b)

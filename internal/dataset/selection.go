@@ -100,7 +100,6 @@ func (v *View) View() []Group {
 			cp.next = 0
 			cp.rows = nil
 			cp.keys = nil
-			cp.vals = nil
 			if cp.win != nil {
 				cp.win = cp.win.clone()
 			}
@@ -366,11 +365,10 @@ type FilteredGroup struct {
 	next int
 	// rows is per-query scratch for staged block draws (ranks, then
 	// positions). Like perm it is draw state: never shared across the
-	// copies View() hands out — as are keys and vals, the window path's
-	// gather-key and value scratch.
+	// copies View() hands out — nor is keys, the window path's gather-key
+	// scratch.
 	rows []int32
 	keys []uint64
-	vals []float64
 }
 
 // val reads one selected row through whichever backing the group has.
@@ -379,15 +377,6 @@ func (g *FilteredGroup) val(row int) float64 {
 		return g.win.at(row)
 	}
 	return g.col[row]
-}
-
-// valScratch returns the group's reusable value buffer with length n.
-func (g *FilteredGroup) valScratch(n int) []float64 {
-	if cap(g.vals) < n {
-		g.vals = make([]float64, n)
-	}
-	g.vals = g.vals[:n]
-	return g.vals
 }
 
 // gather fills dst[i] from local row rows[i]: a direct loop on a plain

@@ -16,53 +16,42 @@ import (
 // workers <= 1 runs inline on the calling goroutine). Each fn call must
 // touch only state owned by its index. For returns after every call has
 // completed, so writes made by fn happen-before the caller's next read.
-func For(n, workers int, fn func(i int)) {
-	ForWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// ForWorkers is For with the worker's identity passed to each call:
-// fn(w, i) with w in [0, workers). Indices handled by the same worker are
-// processed sequentially, so w can select per-worker scratch (buffers,
-// accumulators) without synchronization. The inline path uses w = 0.
 //
 // Work is distributed by an atomic fetch-and-add over the index range —
 // one uncontended RMW per item — rather than a channel: the previous
 // unbuffered-channel queue cost a sender/receiver rendezvous (two
 // scheduler handoffs) per item, which dominated small per-item work and
 // made fan-out a net loss for rounds of cheap blocks. The calling
-// goroutine participates as worker 0, so only workers−1 goroutines are
+// goroutine participates as a worker, so only workers−1 goroutines are
 // spawned and the caller stays busy instead of blocking on a feed loop.
-func ForWorkers(n, workers int, fn func(w, i int)) {
+func For(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
 	var next atomic.Int64
+	drain := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
+			drain()
+		}()
 	}
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= n {
-			break
-		}
-		fn(0, i)
-	}
+	drain()
 	wg.Wait()
 }

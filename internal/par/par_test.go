@@ -20,28 +20,6 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// TestForWorkersIdentity: worker ids stay in [0, min(workers, n)), and the
-// inline path reports worker 0.
-func TestForWorkersIdentity(t *testing.T) {
-	var maxW int64 = -1
-	ForWorkers(5, 16, func(w, i int) {
-		for {
-			cur := atomic.LoadInt64(&maxW)
-			if int64(w) <= cur || atomic.CompareAndSwapInt64(&maxW, cur, int64(w)) {
-				break
-			}
-		}
-	})
-	if maxW >= 5 {
-		t.Fatalf("worker id %d with only 5 items (workers must clamp to n)", maxW)
-	}
-	ForWorkers(3, 1, func(w, i int) {
-		if w != 0 {
-			t.Fatalf("inline path reported worker %d", w)
-		}
-	})
-}
-
 // TestForBarrier: For must not return before every call completes.
 func TestForBarrier(t *testing.T) {
 	var done int64
